@@ -666,8 +666,9 @@ def backend_record(quick: bool) -> dict:
     stages after the in-place/rewrite pass (`prefix_sum_matrix` writing
     through a column view with `out=`-accumulated cumsum,
     `final_reaches` reduced to row min/max without materializing the
-    trajectory matrix, single-comparison honest masks, and the
-    reflected walk dropping its `(n, T+1)` floor matrix).
+    trajectory matrix, single-comparison honest masks, the reflected
+    walk dropping its `(n, T+1)` floor matrix, and the joint margin
+    recurrence run as one column-major in-place scan).
     """
     from repro.engine.distributed import DistributedBackend
     from repro.engine.parallel import ProcessBackend, SerialBackend
@@ -742,11 +743,15 @@ def backend_record(quick: bool) -> dict:
     walk_s, _ = _time(
         kernels.reflected_walk_heights_from_uniforms, 0.1, uniforms
     )
+    joint_s, _ = _time(kernels.joint_final_states, symbols)
+    trajectories_s, _ = _time(kernels.margin_trajectories, symbols)
     kernel_bench = {
         "matrix_shape": list(symbols.shape),
         "prefix_sum_matrix_ms": round(sums_s * 1e3, 3),
         "final_reaches_ms": round(final_s * 1e3, 3),
         "reflected_walk_ms": round(walk_s * 1e3, 3),
+        "joint_final_states_ms": round(joint_s * 1e3, 3),
+        "margin_trajectories_ms": round(trajectories_s * 1e3, 3),
     }
 
     return {
@@ -766,8 +771,11 @@ def backend_record(quick: bool) -> dict:
             "prefix_sum_matrix fills a [:, 1:] view and accumulates with "
             "out=; final_reaches/reflected walk reduce to per-row "
             "min/max without trajectory or floor matrices; honest masks "
-            "are one comparison (codes < CODE_ADVERSARIAL); no float64 "
-            "round-trips outside the uniform draws themselves"
+            "are one comparison (codes < CODE_ADVERSARIAL); the joint "
+            "(rho, mu) recurrence transposes the batch once to (T, n) and "
+            "updates its int64 state column by column in place (out= into "
+            "two preallocated bool buffers); no float64 round-trips "
+            "outside the uniform draws themselves"
         ),
     }
 

@@ -349,10 +349,9 @@ def splitting_settlement_estimate(
         symbols = kernels.sample_characteristic_matrix(
             probabilities, particles, stage_end - time, generator
         )
-        for column in range(symbols.shape[1]):
-            rho, mu = kernels.batched_margin_step(
-                rho, mu, symbols[:, column]
-            )
+        # joint_final_states would restart at (ρ₀, ρ₀); the scan continues
+        # the survivors' (ρ, μ) state in place.
+        rho, mu = kernels._margin_scan(symbols, rho, mu)
         time = stage_end
         survivors = np.flatnonzero(mu >= -(depth - stage_end))
         fraction = survivors.size / particles
@@ -368,8 +367,8 @@ def splitting_settlement_estimate(
             chosen = survivors[
                 generator.integers(0, survivors.size, size=particles)
             ]
-            rho = rho[chosen].copy()
-            mu = mu[chosen].copy()
+            rho = rho[chosen]
+            mu = mu[chosen]
     value = float(np.prod(fractions))
     relative_variance = sum(
         (1.0 - fraction) / (particles * fraction) for fraction in fractions

@@ -50,12 +50,14 @@ Randomness stays on the host either way — the samplers draw from a
 consumes identical uniform bits.  Integer recurrences are exact
 everywhere; the float threshold comparisons are bit-identical wherever
 the namespace implements IEEE-754 doubles (see ``array_api``'s contract
-note).  The NumPy path additionally uses ``out=``/in-place forms where
-the result is bit-identical (the temporaries audit;
-``BENCH_engine.json``'s ``backend.kernel_microbench`` records the
-throughput).  The settlement-DP grids at the bottom of this module are
-small dense float64 tables consumed by the exact-DP layer and stay
-NumPy-only.
+note).  Where the result is bit-identical the kernels use
+``out=``/in-place forms (the temporaries audit; ``BENCH_engine.json``'s
+``backend.kernels`` records the per-call times).  The joint ``(ρ, μ)``
+recurrence is one column-major scan: the batch is transposed once to a
+contiguous ``(T, n)`` array and the int64 state is updated column by
+column in place, with no per-slot allocation.  The settlement-DP grids
+at the bottom of this module are small dense float64 tables consumed by
+the exact-DP layer and stay NumPy-only.
 """
 
 from __future__ import annotations
@@ -354,6 +356,59 @@ def final_reaches(
 # ----------------------------------------------------------------------
 
 
+def _margin_scan(
+    symbols: np.ndarray,
+    rho: np.ndarray,
+    mu: np.ndarray,
+    prefix_lengths: np.ndarray | int = 0,
+    trajectory: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run Eq. (14) over every column of ``symbols`` from state ``(rho, mu)``.
+
+    ``rho``/``mu`` are fresh int64 vectors, updated in place and returned.
+    The batch is transposed once so that each column is contiguous, and a
+    slot is the arithmetic form of the recurrence, computed with ``out=``
+    into two preallocated bool buffers: ``ρ' = max(ρ + step, 0)`` and
+    ``μ' = μ + step + [honest ∧ μ = 0 ∧ (ρ > 0 ∨ H)]``, where ``step`` is
+    +1 on ``A``, −1 on ``h``/``H`` and 0 on ``⊥``.  While
+    ``t < prefix_lengths`` the margin tracks the reach (``μ_x(ε) = ρ(x)``).
+    Given a ``(T+1, n)`` ``trajectory`` whose row 0 is ``mu``, the margin
+    after column ``t`` is written to row ``t + 1``.
+    """
+    xp = array_namespace(symbols)
+    columns = xp.ascontiguousarray(symbols.T)
+    honest = columns < CODE_ADVERSARIAL  # codes h = 0, H = 1
+    multi = columns == CODE_MULTI
+    steps = (columns == CODE_ADVERSARIAL).astype(xp.int64)
+    steps -= honest
+    starts = xp.asarray(prefix_lengths, dtype=xp.int64)
+    prefix_end = int(starts.max()) if starts.size else 0
+    stays_zero = xp.empty(rho.shape, dtype=bool)
+    holds = xp.empty(rho.shape, dtype=bool)
+    for t in range(columns.shape[0]):
+        xp.greater(rho, 0, out=holds)
+        xp.logical_and(holds, honest[t], out=holds)
+        xp.logical_or(holds, multi[t], out=holds)
+        xp.equal(mu, 0, out=stays_zero)
+        xp.logical_and(stays_zero, holds, out=stays_zero)
+        xp.add(rho, steps[t], out=rho)
+        xp.maximum(rho, 0, out=rho)
+        new_mu = mu if trajectory is None else trajectory[t + 1]
+        xp.add(mu, steps[t], out=new_mu)
+        xp.add(new_mu, stays_zero, out=new_mu)
+        if t < prefix_end:
+            xp.copyto(new_mu, rho, where=t < starts)
+        mu = new_mu
+    return rho, mu
+
+
+def _start_reaches(xp, trials, initial_reaches):
+    """Fresh int64 ``ρ₀``: a copy, so the scan never writes the caller's."""
+    if initial_reaches is None:
+        return xp.zeros(trials, dtype=xp.int64)
+    return initial_reaches.astype(xp.int64)
+
+
 def batched_margin_step(
     rho: np.ndarray, mu: np.ndarray, column: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -361,23 +416,13 @@ def batched_margin_step(
 
     Vector form of :func:`repro.core.margin.margin_step`; ``rho`` is
     ``ρ(xy)`` *before* consuming the column.  Empty symbols are the
-    identity (used for padding).
+    identity (used for padding).  A one-column run of the scan behind
+    :func:`joint_final_states`, on copies of the inputs.
     """
     xp = array_namespace(rho, mu, column)
-    adversarial = column == CODE_ADVERSARIAL
-    honest = column < CODE_ADVERSARIAL  # codes h = 0, H = 1
-    stays_zero = (mu == 0) & ((rho > 0) | (column == CODE_MULTI))
-    new_mu = xp.where(
-        adversarial,
-        mu + 1,
-        xp.where(honest, xp.where(stays_zero, 0, mu - 1), mu),
+    return _margin_scan(
+        column[:, None], rho.astype(xp.int64), mu.astype(xp.int64)
     )
-    new_rho = xp.where(
-        adversarial,
-        rho + 1,
-        xp.where(honest, xp.maximum(rho - 1, 0), rho),
-    )
-    return new_rho, new_mu
 
 
 def joint_final_states(
@@ -394,22 +439,8 @@ def joint_final_states(
     X_∞ model of Table 1); it defaults to zero.
     """
     xp = array_namespace(symbols)
-    trials, length = symbols.shape
-    starts = xp.broadcast_to(
-        xp.asarray(prefix_lengths, dtype=xp.int64), (trials,)
-    )
-    rho = (
-        xp.zeros(trials, dtype=xp.int64)
-        if initial_reaches is None
-        else initial_reaches.astype(xp.int64).copy()
-    )
-    mu = rho.copy()
-    for t in range(length):
-        new_rho, new_mu = batched_margin_step(rho, mu, symbols[:, t])
-        in_prefix = t < starts
-        mu = xp.where(in_prefix, new_rho, new_mu)
-        rho = new_rho
-    return rho, mu
+    rho = _start_reaches(xp, symbols.shape[0], initial_reaches)
+    return _margin_scan(symbols, rho, rho.copy(), prefix_lengths)
 
 
 def margin_trajectories(
@@ -426,24 +457,11 @@ def margin_trajectories(
     """
     xp = array_namespace(symbols)
     trials, length = symbols.shape
-    starts = xp.broadcast_to(
-        xp.asarray(prefix_lengths, dtype=xp.int64), (trials,)
-    )
-    rho = (
-        xp.zeros(trials, dtype=xp.int64)
-        if initial_reaches is None
-        else initial_reaches.astype(xp.int64).copy()
-    )
-    mu = rho.copy()
-    out = xp.empty((trials, length + 1), dtype=xp.int64)
-    out[:, 0] = mu
-    for t in range(length):
-        new_rho, new_mu = batched_margin_step(rho, mu, symbols[:, t])
-        in_prefix = t < starts
-        mu = xp.where(in_prefix, new_rho, new_mu)
-        rho = new_rho
-        out[:, t + 1] = mu
-    return out
+    rho = _start_reaches(xp, trials, initial_reaches)
+    trajectory = xp.empty((length + 1, trials), dtype=xp.int64)
+    trajectory[0] = rho
+    _margin_scan(symbols, rho, trajectory[0], prefix_lengths, trajectory)
+    return xp.ascontiguousarray(trajectory.T)
 
 
 # ----------------------------------------------------------------------

@@ -157,6 +157,87 @@ class TestMarginEquivalence:
         assert trajectory.tolist() == [3, 2, 1]
 
 
+def column_loop_reference(symbols, prefix_lengths, initial_reaches):
+    """Margin trajectories by a per-column loop of ``batched_margin_step``."""
+    trials, length = symbols.shape
+    starts = np.broadcast_to(np.asarray(prefix_lengths), (trials,))
+    rho = (
+        np.zeros(trials, dtype=np.int64)
+        if initial_reaches is None
+        else initial_reaches.copy()
+    )
+    mu = rho.copy()
+    out = np.empty((trials, length + 1), dtype=np.int64)
+    out[:, 0] = mu
+    for t in range(length):
+        rho, new_mu = kernels.batched_margin_step(rho, mu, symbols[:, t])
+        mu = np.where(t < starts, rho, new_mu)
+        out[:, t + 1] = mu
+    return rho, out
+
+
+class TestMarginScanBitIdentity:
+    """The fused scan against the per-column step loop it replaced."""
+
+    def check(self, symbols, prefix_lengths, initial_reaches):
+        before = None if initial_reaches is None else initial_reaches.copy()
+        rho, trajectory = column_loop_reference(
+            symbols, prefix_lengths, initial_reaches
+        )
+        final_rho, final_mu = kernels.joint_final_states(
+            symbols, prefix_lengths, initial_reaches
+        )
+        scanned = kernels.margin_trajectories(
+            symbols, prefix_lengths, initial_reaches
+        )
+        assert final_rho.dtype == final_mu.dtype == scanned.dtype == np.int64
+        assert np.array_equal(final_rho, rho)
+        assert np.array_equal(final_mu, trajectory[:, -1])
+        assert np.array_equal(scanned, trajectory)
+        if initial_reaches is not None:  # the in-place scan copies its seed
+            assert np.array_equal(initial_reaches, before)
+
+    def test_random_ragged_batches(self):
+        rng = np.random.default_rng(12)
+        for case in range(150):
+            trials = int(rng.integers(1, 40))
+            length = int(rng.integers(1, 30))
+            words = random_strings("hHA", trials, 1, length, seed=case)
+            symbols, lengths = kernels.encode_words(words)  # ⊥-padded
+            width = symbols.shape[1]
+            prefix_lengths = (
+                rng.integers(0, width + 1, size=trials)
+                if case % 2
+                else int(rng.integers(0, width + 1))
+            )
+            initial = (
+                None
+                if case % 3 == 0
+                else rng.integers(0, 10**12, size=trials)
+                if case % 3 == 1
+                else rng.integers(0, 8, size=trials)
+            )
+            self.check(symbols, prefix_lengths, initial)
+
+    @pytest.mark.parametrize("trials,length", [(0, 5), (4, 0), (0, 0), (1, 7)])
+    def test_edge_shapes(self, trials, length):
+        rng = np.random.default_rng(trials * 10 + length)
+        symbols = rng.integers(0, 4, size=(trials, length)).astype(np.uint8)
+        for prefix_lengths in (0, length, np.full(trials, length)):
+            for initial in (None, rng.integers(0, 5, size=trials)):
+                self.check(symbols, prefix_lengths, initial)
+
+    def test_scan_continues_from_explicit_state(self):
+        rng = np.random.default_rng(3)
+        symbols = rng.integers(0, 3, size=(64, 24)).astype(np.uint8)
+        initial = rng.integers(0, 6, size=64)
+        rho, mu = kernels.joint_final_states(symbols[:, :10], 0, initial)
+        rho, mu = kernels._margin_scan(symbols[:, 10:], rho, mu)
+        whole = kernels.joint_final_states(symbols, 0, initial)
+        assert np.array_equal(rho, whole[0])
+        assert np.array_equal(mu, whole[1])
+
+
 class TestCatalanEquivalence:
     def test_matches_catalan_slots(self):
         words = random_strings("hHA", 120, 1, 60, seed=7)
